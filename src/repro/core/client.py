@@ -51,6 +51,7 @@ from repro.obs.tracing import (
 )
 from repro.query.engine import Query
 from repro.query.sortspec import SortInput
+from repro.store.collection import SnapshotRead
 from repro.types import (
     AfterImage,
     ChangeNotification,
@@ -322,10 +323,13 @@ class InvaliDBClient:
         self._ids = IdGenerator(f"sub-{app_server_id}")
         #: Live subscription handles per query ID (fan-out targets).
         self._handles: Dict[str, List[RealTimeSubscription]] = {}
-        #: Wall-clock seconds spent producing bootstrap results — the
-        #: paper monitors this "to ensure the pull-based part of our
-        #: architecture does not become a bottleneck" (Section 5.4).
-        self.bootstrap_latencies: List[float] = []
+        #: Running count / sum / max of the wall-clock seconds spent
+        #: producing bootstrap results — the paper monitors this "to
+        #: ensure the pull-based part of our architecture does not
+        #: become a bottleneck" (Section 5.4).
+        self._bootstrap_count = 0
+        self._bootstrap_total = 0.0
+        self._bootstrap_max = 0.0
         self._lock = threading.Lock()
         self.last_heartbeat: Optional[float] = None
         # -- resilience: retry with backoff + circuit breaker -----------
@@ -404,30 +408,29 @@ class InvaliDBClient:
             return database.collection(name)
         return database
 
-    def _execute(self, query: Query) -> List[Document]:
-        import time as _time
-
-        started = _time.perf_counter()
-        result = self._collection_for(query.collection).execute(query)
-        self.bootstrap_latencies.append(_time.perf_counter() - started)
-        return result
+    def _execute(self, query: Query) -> SnapshotRead:
+        """Bootstrap read: the result with the versions and oplog
+        position it reflects, taken atomically by the store."""
+        started = time.perf_counter()
+        read = self._collection_for(query.collection).read_snapshot(query)
+        elapsed = time.perf_counter() - started
+        with self._lock:
+            self._bootstrap_count += 1
+            self._bootstrap_total += elapsed
+            self._bootstrap_max = max(self._bootstrap_max, elapsed)
+        return read
 
     def bootstrap_latency_stats(self) -> Dict[str, float]:
         """Summary of pull-based bootstrap latencies (seconds)."""
-        samples = list(self.bootstrap_latencies)
-        if not samples:
-            return {"count": 0, "average": 0.0, "maximum": 0.0}
-        return {
-            "count": len(samples),
-            "average": sum(samples) / len(samples),
-            "maximum": max(samples),
-        }
-
-    def _versions_for(self, query: Query, documents: List[Document]) -> List[List[Any]]:
-        collection = self._collection_for(query.collection)
-        return [
-            [doc["_id"], collection.version_of(doc["_id"])] for doc in documents
-        ]
+        with self._lock:
+            count = self._bootstrap_count
+            if not count:
+                return {"count": 0, "average": 0.0, "maximum": 0.0}
+            return {
+                "count": count,
+                "average": self._bootstrap_total / count,
+                "maximum": self._bootstrap_max,
+            }
 
     # ------------------------------------------------------------------
     # Resilient publishing
@@ -533,9 +536,8 @@ class InvaliDBClient:
         # Order matters: the initial result is delivered and the handle
         # registered for fan-out *before* the subscribe request goes out,
         # so no change notification can slip past the handle.
-        rewritten = query.rewritten_for_subscription(slack)
-        bootstrap = self._execute(rewritten)
-        visible = self._visible_window(query, bootstrap)
+        read = self._execute(query.rewritten_for_subscription(slack))
+        visible = self._visible_window(query, read.documents)
         subscription._deliver_initial(
             InitialResult(
                 subscription_id=subscription.subscription_id,
@@ -546,19 +548,18 @@ class InvaliDBClient:
         )
         with self._lock:
             self._handles.setdefault(query.query_id, []).append(subscription)
-        self._publish_subscribe(query, bootstrap, slack)
+        self._publish_subscribe(query, read, slack)
         return subscription
 
     def _activate(self, query: Query, slack: int,
                   renewal: bool = False) -> List[Document]:
         """Execute the rewritten query and send the subscribe request."""
-        rewritten = query.rewritten_for_subscription(slack)
-        bootstrap = self._execute(rewritten)
-        self._publish_subscribe(query, bootstrap, slack, renewal=renewal)
-        return bootstrap
+        read = self._execute(query.rewritten_for_subscription(slack))
+        self._publish_subscribe(query, read, slack, renewal=renewal)
+        return read.documents
 
     def _publish_subscribe(
-        self, query: Query, bootstrap: List[Document], slack: int,
+        self, query: Query, read: SnapshotRead, slack: int,
         renewal: bool = False,
     ) -> None:
         message = {
@@ -567,8 +568,9 @@ class InvaliDBClient:
             "query_id": query.query_id,
             "query_hash": query.hash,
             "query": serialize_query(query),
-            "bootstrap": bootstrap,
-            "versions": self._versions_for(query, bootstrap),
+            "bootstrap": read.documents,
+            "versions": read.versions,
+            "snapshot": read.position,
             "slack": slack,
             "renewal": renewal,
         }

@@ -98,7 +98,7 @@ def deserialize_query(payload: Dict[str, Any]) -> Query:
 
 
 def serialize_after_image(after: AfterImage) -> Dict[str, Any]:
-    return {
+    payload = {
         "kind": "write",
         "key": after.key,
         "version": after.version,
@@ -107,9 +107,13 @@ def serialize_after_image(after: AfterImage) -> Dict[str, Any]:
         "collection": after.collection,
         "timestamp": after.timestamp,
     }
+    if after.position is not None:
+        payload["pos"] = after.position
+    return payload
 
 
 def deserialize_after_image(payload: Dict[str, Any]) -> AfterImage:
+    position = payload.get("pos")
     return AfterImage(
         key=payload["key"],
         version=payload["version"],
@@ -117,6 +121,7 @@ def deserialize_after_image(payload: Dict[str, Any]) -> AfterImage:
         document=payload.get("document"),
         collection=payload.get("collection", "default"),
         timestamp=payload.get("timestamp", 0.0),
+        position=None if position is None else (position[0], position[1]),
     )
 
 
@@ -213,7 +218,9 @@ class _MatchingBolt(Bolt):
             if scheme.write_partition_of(doc["_id"]) == wp
         ]
         versions = {key: version for key, version in tuple_["versions"]}
-        return self.node.register_query(query, bootstrap, versions, now)
+        return self.node.register_query(
+            query, bootstrap, versions, now, tuple_.get("snapshot")
+        )
 
     def process_batch(self, tuples: List[Dict[str, Any]]) -> None:
         """Process a chunk of after-images / requests in arrival order,
@@ -1053,8 +1060,11 @@ class InvaliDBCluster:
         """Record an after-image in the write partition's retained
         stream (cluster level, so it survives any matching node)."""
         after = deserialize_after_image(tuple_)
+        now = self.config.clock()
         with self._retention_lock:
-            self._write_retention[wp].observe(after, self.config.clock())
+            retention = self._write_retention[wp]
+            if retention.observe(after, now):
+                retention.evict(now)
 
     def _retained_writes(self, wp: int) -> List[Dict[str, Any]]:
         """Wire payloads of the write partition's retention window."""
@@ -1248,6 +1258,12 @@ class InvaliDBCluster:
             "cluster.memo_misses": sum(
                 node.memo_misses for node in nodes
             ),
+            "cluster.replay_evaluations": sum(
+                node.replay_evaluations for node in nodes
+            ),
+            "cluster.replay_skipped": sum(
+                node.replay_skipped for node in nodes
+            ),
             "cluster.dag_nodes_evaluated": sum(
                 node.dag.nodes_evaluated
                 for node in nodes if node.dag is not None
@@ -1286,6 +1302,7 @@ class InvaliDBCluster:
         workers: Optional[Dict[str, Any]] = None
         considered = pruned = memo_hits = memo_misses = matched = 0
         dag_nodes_evaluated = dag_queries_served = 0
+        replay_evaluations = replay_skipped = 0
         if self._process_mode:
             matching_rows, sorting_rows, workers = self._remote_rows()
             for row in matching_rows:
@@ -1294,6 +1311,8 @@ class InvaliDBCluster:
                 memo_hits += row.get("memo_hits", 0)
                 memo_misses += row.get("memo_misses", 0)
                 matched += row.get("matched_operations", 0)
+                replay_evaluations += row.get("replay_evaluations", 0)
+                replay_skipped += row.get("replay_skipped", 0)
                 dag = row.get("dag")
                 if dag:
                     dag_nodes_evaluated += dag.get("nodes_evaluated", 0)
@@ -1312,6 +1331,8 @@ class InvaliDBCluster:
                 memo_hits += row["memo_hits"]
                 memo_misses += row["memo_misses"]
                 matched += row["matched_operations"]
+                replay_evaluations += row["replay_evaluations"]
+                replay_skipped += row["replay_skipped"]
                 dag = row.get("dag")
                 if dag:
                     dag_nodes_evaluated += dag.get("nodes_evaluated", 0)
@@ -1359,6 +1380,8 @@ class InvaliDBCluster:
             ) if memo_hits + memo_misses else 0.0,
             "memo_hits": memo_hits,
             "memo_misses": memo_misses,
+            "replay_evaluations": replay_evaluations,
+            "replay_skipped": replay_skipped,
             "dag_nodes_evaluated": dag_nodes_evaluated,
             "dag_queries_served": dag_queries_served,
             "dag_share_ratio": round(

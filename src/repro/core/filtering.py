@@ -39,9 +39,9 @@ stream stays byte-identical because decisions are consumed in the same
 per-candidate registration order either way.
 
 The node also implements write stream retention: retained after-images
-are replayed against newly registered queries, closing the
-write-subscription race, and version numbers let it ignore stale
-writes.
+written after a new query's bootstrap snapshot are replayed against it,
+closing the write-subscription race, and version numbers let it ignore
+stale writes.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from repro.query.engine import MongoQueryEngine, PluggableQueryEngine, Query
 from repro.query.index import QueryIndex
 from repro.query.matcher import PredicateMemo
 from repro.query.shared import DagEvaluation, SharedPredicateDAG
-from repro.types import AfterImage, Document, MatchType
+from repro.types import AfterImage, Document, LogPosition, MatchType
 
 
 @dataclass(frozen=True)
@@ -165,6 +165,11 @@ class FilteringNode:
         #: Writes dropped because their latency budget expired before
         #: matching (deadline shedding, overload control).
         self.deadline_shed = 0
+        #: Retention replay on registration: retained after-images
+        #: evaluated against the new query, and those skipped because
+        #: the bootstrap already reflected them.
+        self.replay_evaluations = 0
+        self.replay_skipped = 0
         # Telemetry: per-write distributions of how many candidates the
         # index produced vs. how many evaluations pruning skipped.  The
         # plain counters above stay the hot-path source of truth (the
@@ -184,15 +189,23 @@ class FilteringNode:
         bootstrap: List[Document],
         versions: Dict[Any, int],
         now: float,
+        snapshot: Optional[LogPosition] = None,
     ) -> List[MatchEvent]:
         """Activate *query* with its result partition.
 
         *bootstrap* is the slice of the initial result whose keys fall
         into this node's write partition; *versions* maps those keys to
-        the version the database reported.  Retained after-images newer
-        than the bootstrap are replayed, so writes racing the
-        subscription are not lost (Section 5.1).  Replay may produce
-        events; the caller forwards them like live ones.
+        the version the database reported, and *snapshot* is the oplog
+        position the bootstrap was read at.  Retained writes *after the
+        bootstrap snapshot* are replayed, so writes racing the
+        subscription are not lost (Section 5.1); an image from the
+        snapshot's log positioned before it is already reflected in the
+        bootstrap and is skipped without evaluation.  Images without a
+        position, from another log, or registered without a snapshot
+        (``None``: the caller has no single write order, e.g. a sharded
+        collection) are always replayed, minus those whose version the
+        bootstrap already holds.  Replay may produce events; the caller
+        forwards them like live ones.
 
         Re-registration (query renewal or a second app server
         subscribing) replaces the previous bootstrap state wholesale.
@@ -217,13 +230,22 @@ class FilteringNode:
         self._queries[query.query_id] = state
         for key in state.matching:
             self._matching_keys.setdefault(key, set()).add(query.query_id)
+        log, cut = snapshot if snapshot is not None else (None, 0)
         events: List[MatchEvent] = []
+        skipped = 0
         for after in self.retention.replay(now):
+            position = after.position
+            if position is not None and position[0] == log and position[1] < cut:
+                skipped += 1
+                continue
             known_version = state.matching.get(after.key, 0)
             bootstrap_version = versions.get(after.key, known_version)
             if after.version <= max(known_version, bootstrap_version):
+                skipped += 1
                 continue
+            self.replay_evaluations += 1
             events.extend(self._evaluate(state, self._materialize(after)))
+        self.replay_skipped += skipped
         return events
 
     def deactivate_query(self, query_id: str) -> bool:
@@ -271,8 +293,10 @@ class FilteringNode:
         entity's previous matchers) are evaluated; without it, every
         active query is scanned.
         """
-        if not self.retention.observe(after, now):
+        retention = self.retention
+        if not retention.observe(after, now):
             return []
+        retention.evict(now)
         self.writes_processed += 1
         if not after.is_delete:
             after = self._materialize(after)
@@ -431,6 +455,8 @@ class FilteringNode:
             "memo_misses": self.memo_misses,
             "memo_hit_rate": round(self.memo_hit_rate, 4),
             "deadline_shed": self.deadline_shed,
+            "replay_evaluations": self.replay_evaluations,
+            "replay_skipped": self.replay_skipped,
             "retained_after_images": len(self.retention),
         }
         if self.index is not None:

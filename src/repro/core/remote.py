@@ -256,7 +256,7 @@ class RemoteMatchingCell:
                     key: version for key, version in tuple_["versions"]
                 }
                 produced = node.register_query(
-                    query, bootstrap, versions, now
+                    query, bootstrap, versions, now, tuple_.get("snapshot")
                 )
             elif kind == "cancel":
                 node.deactivate_query(tuple_["query_id"])

@@ -8,7 +8,7 @@ versioning, a replication log (oplog, used by the log-tailing
 baseline), and hash sharding.
 """
 
-from repro.store.collection import Collection
+from repro.store.collection import Collection, SnapshotRead
 from repro.store.database import Database
 from repro.store.documents import (
     deep_copy,
@@ -28,6 +28,7 @@ __all__ = [
     "OplogEntry",
     "OrderedIndex",
     "ShardedCollection",
+    "SnapshotRead",
     "deep_copy",
     "get_path",
     "set_path",

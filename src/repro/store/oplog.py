@@ -10,17 +10,22 @@ The log is capped: once ``capacity`` entries are exceeded the oldest
 entries are dropped, and a tailer that fell behind the horizon gets a
 :class:`StaleCursorError`, mirroring the real failure mode of tailing
 a capped collection under write pressure.
+
+Every log carries a random ``token``: a :data:`~repro.types.LogPosition`
+``(token, sequence)`` names a point in *this* log's write order, so two
+logs feeding one InvaliDB cluster never compare each other's sequences.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, List, Optional
 
 from repro.errors import StoreError
-from repro.types import AfterImage, WriteKind
+from repro.types import AfterImage, LogPosition, WriteKind
 
 
 class StaleCursorError(StoreError):
@@ -64,6 +69,9 @@ class Oplog:
         if capacity <= 0:
             raise StoreError("oplog capacity must be positive")
         self.capacity = capacity
+        #: Names this log in :data:`~repro.types.LogPosition` values (48
+        #: random bits: unique across the logs of one deployment).
+        self.token = int.from_bytes(os.urandom(6), "big")
         self._entries: Deque[OplogEntry] = deque()
         self._next_sequence = 1
         self._lock = threading.Lock()
@@ -103,6 +111,13 @@ class Oplog:
         """The sequence number the next append will receive."""
         with self._lock:
             return self._next_sequence
+
+    @property
+    def head_position(self) -> LogPosition:
+        """The position of the next append: every entry already in the
+        log lies strictly before it."""
+        with self._lock:
+            return (self.token, self._next_sequence)
 
     @property
     def horizon(self) -> int:

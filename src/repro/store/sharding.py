@@ -21,8 +21,21 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.partitioning import stable_hash
 from repro.query.engine import MongoQueryEngine, Query
 from repro.query.sortspec import SortInput, SortSpec
-from repro.store.collection import Collection
+from repro.store.collection import Collection, SnapshotRead
 from repro.types import AfterImage, Document, PRIMARY_KEY
+
+
+def _merged(
+    partials: List[Document],
+    sort: Optional[SortInput],
+    skip: int,
+    limit: Optional[int],
+) -> List[Document]:
+    """Sort the shards' concatenated results globally, then window."""
+    if sort is not None:
+        partials = SortSpec.coerce(sort).sort(partials)
+    end = None if limit is None else skip + limit
+    return partials[skip:end]
 
 
 class ShardedCollection:
@@ -86,17 +99,34 @@ class ShardedCollection:
         partials: List[Document] = []
         for shard in self.shards:
             partials.extend(shard.find(filter_doc, sort=None))
-        if sort is not None:
-            partials = SortSpec.coerce(sort).sort(partials)
-        if skip:
-            partials = partials[skip:]
-        if limit is not None:
-            partials = partials[:limit]
-        return partials
+        return _merged(partials, sort, skip, limit)
 
     def execute(self, query: Query) -> List[Document]:
         return self.find(
             query.filter_doc, sort=query.sort, skip=query.offset, limit=query.limit
+        )
+
+    def read_snapshot(self, query: Query) -> SnapshotRead:
+        """Scatter-gather :meth:`Collection.read_snapshot`.
+
+        Each shard reads its documents and versions atomically, but the
+        shards keep separate oplogs with no common write order, so the
+        merged read carries no position: retention replay re-checks
+        every retained write against it.
+        """
+        unsorted = Query(query.filter_doc, collection=query.collection)
+        documents: List[Document] = []
+        versions: Dict[Any, int] = {}
+        for shard in self.shards:
+            read = shard.read_snapshot(unsorted)
+            documents.extend(read.documents)
+            versions.update(read.versions)
+        documents = _merged(documents, query.sort, query.offset, query.limit)
+        return SnapshotRead(
+            documents,
+            [[doc[PRIMARY_KEY], versions[doc[PRIMARY_KEY]]]
+             for doc in documents],
+            None,
         )
 
     def count(self, filter_doc: Optional[Dict[str, Any]] = None) -> int:

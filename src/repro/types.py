@@ -17,10 +17,16 @@ import enum
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 Document = Dict[str, Any]
 """A JSON-like document.  The primary key lives under ``"_id"``."""
+
+LogPosition = Tuple[int, int]
+"""A point in one store's write order: ``(log token, sequence)``.
+
+The token names the :class:`~repro.store.oplog.Oplog`; sequences are
+only comparable between positions carrying the same token."""
 
 PRIMARY_KEY = "_id"
 
@@ -56,7 +62,10 @@ class AfterImage:
 
     ``document`` is ``None`` for deletes (the paper: "the after-image of
     a deleted entity is null").  ``version`` increases per entity and is
-    used for staleness avoidance in the retention buffer.
+    used for staleness avoidance in the retention buffer.  ``position``
+    is where the write landed in its store's oplog (``None`` when the
+    image was built outside a store); retention replay uses it to skip
+    writes a subscription's bootstrap read already reflects.
     """
 
     key: Any
@@ -65,6 +74,7 @@ class AfterImage:
     document: Optional[Document]
     collection: str = "default"
     timestamp: float = 0.0
+    position: Optional[LogPosition] = None
 
     def __post_init__(self) -> None:
         if self.kind is WriteKind.DELETE:

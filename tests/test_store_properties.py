@@ -79,3 +79,50 @@ class TestOplogConsistency:
             previous = last_seen.get(entry.key, 0)
             assert entry.version == previous + 1
             last_seen[entry.key] = entry.version
+
+
+#: Sort-field values across BSON type brackets, with few distinct
+#: values so ties are common; ``_MISSING`` leaves the field out.
+_MISSING = object()
+sort_values = st.sampled_from(
+    [_MISSING, None, 0, 1, 1.0, -2.5, "a", "b", "", True, False,
+     [1, 2], {"x": 1}]
+)
+
+
+class TestFindWindowProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(sort_values, sort_values), max_size=25),
+        fields=st.lists(
+            st.tuples(st.sampled_from(["s", "t"]), st.sampled_from([1, -1])),
+            min_size=1, max_size=2, unique_by=lambda field: field[0],
+        ),
+        skip=st.integers(min_value=0, max_value=6),
+        limit=st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
+        indexed=st.booleans(),
+    )
+    def test_window_equals_full_sort_then_slice(
+        self, rows, fields, skip, limit, indexed
+    ):
+        """Selecting the ``skip + limit`` smallest documents equals
+        sorting every match and slicing — ties keep insertion order."""
+        from repro.query.sortspec import SortSpec
+
+        collection = Collection("items")
+        if indexed:
+            collection.ensure_index("g", "hash")
+        for key, (s, t) in enumerate(rows):
+            document = {"_id": key, "g": key % 2}
+            if s is not _MISSING:
+                document["s"] = s
+            if t is not _MISSING:
+                document["t"] = t
+            collection.insert(document)
+        filter_doc = {"g": 0} if indexed else {}
+        matching = collection.find(filter_doc)
+        end = None if limit is None else skip + limit
+        expected = SortSpec.coerce(fields).sort(matching)[skip:end]
+        assert collection.find(
+            filter_doc, sort=fields, skip=skip, limit=limit
+        ) == expected
